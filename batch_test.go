@@ -7,14 +7,15 @@ import (
 	"pmjoin/internal/dataset"
 )
 
-// TestBatchKernelsDeterminism is the batch half of the determinism contract:
-// a clustered join with KernelBatch on produces a Result (Report, Pairs,
-// matrix stats) and a Plan bit-for-bit identical to the run with KernelBatch
-// off, across parallelism {1, GOMAXPROCS}, sharding {off, 3 shards} and
-// prefetch {on, off}. Each mode runs on a fresh System over identical
-// generated data. The vector workload uses dim 8 so the whole-cluster SIMD
-// path (dim >= 8) is what's being compared, not the scalar fallback; the
-// series and self-join workloads pin the fallback seams.
+// TestBatchKernelsDeterminism pins whole-cluster block dispatch end to end:
+// across parallelism {1, GOMAXPROCS}, sharding {off, 3 shards} and prefetch
+// {on, off}, every clustered join collects exactly the brute-force
+// reference set (see referencePairs), and runs that differ only in
+// parallelism or prefetch produce a bit-identical Result and Plan. The
+// vector workload uses dim 8 so the whole-cluster SIMD path (dim >= 8) is
+// exercised, not the scalar fallback; the self-join, series and string
+// workloads pin the per-pair fallback seams. Batched versus per-pair
+// dispatch of the same run is internal/join's TestBatchMatchesPerPair.
 func TestBatchKernelsDeterminism(t *testing.T) {
 	type workload struct {
 		name    string
@@ -63,8 +64,7 @@ func TestBatchKernelsDeterminism(t *testing.T) {
 			opt: Options{Epsilon: 0.15, BufferPages: 16, CollectPairs: true},
 		},
 		{
-			// Self join: not batchable (id-based skips), so the knob must be a
-			// silent no-op end to end.
+			// Self join: not batchable (id-based skips), so it runs per pair.
 			name:    "vector-self",
 			methods: []Method{SC},
 			build: func(t *testing.T) (*System, *Dataset, *Dataset) {
@@ -96,7 +96,7 @@ func TestBatchKernelsDeterminism(t *testing.T) {
 			opt: Options{Epsilon: 8.0, BufferPages: 16, CollectPairs: true},
 		},
 		{
-			// Strings have no float kernel: silently per-pair under the knob.
+			// Strings have no float kernel, so they run per pair.
 			name:    "string",
 			methods: []Method{SC},
 			build: func(t *testing.T) (*System, *Dataset, *Dataset) {
@@ -140,14 +140,28 @@ func TestBatchKernelsDeterminism(t *testing.T) {
 	for _, w := range loads {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
+			sys, a, b := w.build(t)
+			want := referencePairs(t, a, b, w.opt.Epsilon)
+			if len(want) == 0 {
+				t.Fatal("workload has no results; the comparison is vacuous")
+			}
 			for _, m := range w.methods {
 				m := m
 				t.Run(m.String(), func(t *testing.T) {
-					run := func(mode KernelBatchMode, c config) (*Result, *Plan) {
-						sys, a, b := w.build(t)
+					configs := small
+					if w.full {
+						configs = fullCross
+					}
+					// Sharding changes the Report (each shard reads over a
+					// cold session), so each shard count has its own baseline.
+					type baseline struct {
+						res  Result
+						plan *Plan
+					}
+					base := map[int]baseline{}
+					for _, c := range configs {
 						opt := w.opt
 						opt.Method = m
-						opt.KernelBatch = mode
 						opt.Parallelism = c.par
 						opt.Sharding = ShardingOptions{Shards: c.shards}
 						opt.Pipeline.Prefetch = c.prefetch
@@ -159,25 +173,19 @@ func TestBatchKernelsDeterminism(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						return res, plan
-					}
-					configs := small
-					if w.full {
-						configs = fullCross
-					}
-					for _, c := range configs {
-						off, offPlan := run(KernelBatchOff, c)
-						on, onPlan := run(KernelBatchOn, c)
-						if got, want := deterministicFields(on), deterministicFields(off); !reflect.DeepEqual(got, want) {
-							t.Errorf("par %d shards %d prefetch %v: batch-on result differs:\n off: %+v\n on:  %+v",
-								c.par, c.shards, c.prefetch, want, got)
+						checkPairs(t, res, want)
+						bl, ok := base[c.shards]
+						if !ok {
+							base[c.shards] = baseline{deterministicFields(res), plan}
+							continue
 						}
-						if !reflect.DeepEqual(onPlan, offPlan) {
-							t.Errorf("par %d shards %d prefetch %v: batch-on plan differs:\n off: %+v\n on:  %+v",
-								c.par, c.shards, c.prefetch, offPlan, onPlan)
+						if got := deterministicFields(res); !reflect.DeepEqual(got, bl.res) {
+							t.Errorf("par %d shards %d prefetch %v: result differs:\n base: %+v\n got:  %+v",
+								c.par, c.shards, c.prefetch, bl.res, got)
 						}
-						if c.par == 1 && c.shards == 0 && off.Count() == 0 {
-							t.Error("workload has no results; the comparison is vacuous")
+						if !reflect.DeepEqual(plan, bl.plan) {
+							t.Errorf("par %d shards %d prefetch %v: plan differs:\n base: %+v\n got:  %+v",
+								c.par, c.shards, c.prefetch, bl.plan, plan)
 						}
 					}
 				})
@@ -186,91 +194,36 @@ func TestBatchKernelsDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchDispatchRan guards the determinism comparison against vacuity from
-// the other side: with metrics on, a batchable clustered run must report that
-// the block path actually evaluated clusters — and the per-pair run must not.
+// TestBatchDispatchRan guards the batch tests against vacuity: with metrics
+// on, a batchable clustered run must report that the block path actually
+// evaluated clusters, and a self join — not batchable, since its id-based
+// skips need both pages' IDs — must report that it did not.
 func TestBatchDispatchRan(t *testing.T) {
-	build := func() (*System, *Dataset, *Dataset) {
-		sys := NewSystem(DiskModel{PageBytes: 512})
-		da, err := sys.AddVectors("a", randomVecs(300, 8, 1), VectorOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := sys.AddVectors("b", randomVecs(200, 8, 2), VectorOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys, da, db
-	}
-	run := func(mode KernelBatchMode) *Result {
-		sys, a, b := build()
-		res, err := sys.Join(a, b, Options{
-			Method: SC, Epsilon: 0.55, BufferPages: 16,
-			KernelBatch: mode, Metrics: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	on := run(KernelBatchOn)
-	if on.Exec.BatchClusters == 0 || on.Exec.BatchCells == 0 || on.Exec.BatchRows == 0 {
-		t.Errorf("batch-on run reported no batch dispatch: %+v", on.Exec)
-	}
-	if on.Exec.BatchClusters > on.Report.Clusters {
-		t.Errorf("batched %d of %d clusters", on.Exec.BatchClusters, on.Report.Clusters)
-	}
-	off := run(KernelBatchOff)
-	if off.Exec.BatchClusters != 0 || off.Exec.BatchCells != 0 {
-		t.Errorf("batch-off run reported batch dispatch: %+v", off.Exec)
-	}
-}
-
-// TestKernelBatchModeDefault pins the normalization: the zero value resolves
-// to KernelBatchOn, and an explicit off stays off.
-func TestKernelBatchModeDefault(t *testing.T) {
-	opt := Options{Method: NLJ, Epsilon: 1, BufferPages: 4}
-	if err := opt.Validate(); err != nil {
+	sys := NewSystem(DiskModel{PageBytes: 512})
+	da, err := sys.AddVectors("a", randomVecs(300, 8, 1), VectorOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.KernelBatch != KernelBatchOn {
-		t.Errorf("default kernel batch = %v, want on", opt.KernelBatch)
-	}
-	opt = Options{Method: NLJ, Epsilon: 1, BufferPages: 4, KernelBatch: KernelBatchOff}
-	if err := opt.Validate(); err != nil {
+	db, err := sys.AddVectors("b", randomVecs(200, 8, 2), VectorOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.KernelBatch != KernelBatchOff {
-		t.Errorf("explicit off became %v", opt.KernelBatch)
+	opt := Options{Method: SC, Epsilon: 0.55, BufferPages: 16, Metrics: true}
+	batched, err := sys.Join(da, db, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := Options{Method: NLJ, Epsilon: 1, BufferPages: 4, KernelBatch: KernelBatchMode(99)}
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted kernel batch mode 99")
+	if batched.Exec.BatchClusters == 0 || batched.Exec.BatchCells == 0 || batched.Exec.BatchRows == 0 {
+		t.Errorf("batchable run reported no batch dispatch: %+v", batched.Exec)
 	}
-}
-
-// TestKernelBatchModeText pins the text round-trip alongside the other enums.
-func TestKernelBatchModeText(t *testing.T) {
-	for _, k := range []KernelBatchMode{KernelBatchDefault, KernelBatchOn, KernelBatchOff} {
-		text, err := k.MarshalText()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back KernelBatchMode
-		if err := back.UnmarshalText(text); err != nil {
-			t.Fatal(err)
-		}
-		if back != k {
-			t.Errorf("round trip %v -> %q -> %v", k, text, back)
-		}
+	if batched.Exec.BatchClusters > batched.Report.Clusters {
+		t.Errorf("batched %d of %d clusters", batched.Exec.BatchClusters, batched.Report.Clusters)
 	}
-	if _, err := ParseKernelBatchMode("sometimes"); err == nil {
-		t.Error("ParseKernelBatchMode accepted garbage")
+	self, err := sys.Join(da, da, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if k, err := ParseKernelBatchMode("ON"); err != nil || k != KernelBatchOn {
-		t.Errorf("ParseKernelBatchMode(ON) = %v, %v", k, err)
-	}
-	if _, err := KernelBatchMode(42).MarshalText(); err == nil {
-		t.Error("MarshalText accepted out-of-range mode")
+	if self.Exec.BatchClusters != 0 || self.Exec.BatchCells != 0 {
+		t.Errorf("self join reported batch dispatch: %+v", self.Exec)
 	}
 }

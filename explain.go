@@ -75,7 +75,8 @@ type Plan struct {
 	// PrefetchablePages is the total reads the pipelined executor can issue
 	// ahead of cluster boundaries (the sum of ClusterIO Prefetchable): every
 	// predicted read except the first cluster's. Independent of
-	// Options.Prefetch — it describes the schedule, not the run mode.
+	// Options.Pipeline.Prefetch — it describes the schedule, not the run
+	// mode.
 	PrefetchablePages int64
 	// PredictedOverlapSeconds is the modeled I/O time those prefetchable
 	// reads can hide behind CPU phases under the linear disk model: one seek

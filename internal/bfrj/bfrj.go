@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"pmjoin/internal/disk"
-	"pmjoin/internal/geom"
 	"pmjoin/internal/index"
 	"pmjoin/internal/join"
 	"pmjoin/internal/predmat"
@@ -54,15 +53,6 @@ type Options struct {
 	// PairsPerPage is the capacity of one spill page of the intermediate
 	// pair list (default 256, ~16 bytes per pair in a 4 KB page).
 	PairsPerPage int
-	// Kernels routes node-pair predictor tests through internal/kernel's
-	// exact MBR bound when Pred offers one; the candidate set — and hence
-	// the Report — is bit-identical either way.
-	Kernels bool
-}
-
-// kernelBounder mirrors predmat's optional Predictor refinement.
-type kernelBounder interface {
-	KernelBound(eps float64) func(a, b geom.MBR) bool
 }
 
 // Run executes BFRJ between the datasets indexed by r.Root and s.Root.
@@ -70,14 +60,7 @@ func Run(e *join.Engine, r, s *join.Dataset, j join.ObjectJoiner, opts Options) 
 	if opts.PairsPerPage == 0 {
 		opts.PairsPerPage = 256
 	}
-	within := func(a, b geom.MBR) bool { return opts.Pred.LowerBound(a, b) <= opts.Eps }
-	if opts.Kernels {
-		if kb, ok := opts.Pred.(kernelBounder); ok {
-			if f := kb.KernelBound(opts.Eps); f != nil {
-				within = f
-			}
-		}
-	}
+	within := predmat.Within(opts.Pred, opts.Eps)
 	return e.Run("BFRJ", func(x *join.Exec) error {
 		rNodes, err := materialize(x.IO, r.Root)
 		if err != nil {

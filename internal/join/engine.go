@@ -37,19 +37,6 @@ type Engine struct {
 	// hook is a nil-receiver no-op. Metrics never influence the Report —
 	// they are outside the determinism contract.
 	Metrics *metrics.Collector
-	// Kernels warms each page's flat kernel block as the buffer pool loads
-	// it, so kernel-enabled joiners find it prebuilt on the coordinator
-	// instead of building it lazily inside worker tasks. Purely a CPU-side
-	// wall-clock concern: the Report is bit-identical either way.
-	Kernels bool
-	// KernelBatch routes each batchable cluster's marked page pairs through
-	// one whole-cluster block evaluation (Exec.JoinCluster) instead of a
-	// JoinPair per entry. Only BatchJoiner configurations that report a
-	// batch kernel participate (non-self vector/series kernel joins);
-	// everything else silently keeps the per-pair path. The Report — every
-	// counter bit, pair order included — is identical either way at any
-	// parallelism (see TestBatchKernelsDeterminism).
-	KernelBatch bool
 	// Prefetch enables the double-buffered cluster pipeline: while workers
 	// compare cluster k's page pairs, the coordinator stages cluster k+1's
 	// prefetch-plan pages (Pool.Prefetch), promoting them to pinned at the
@@ -127,9 +114,10 @@ func (e *Engine) Run(method string, body func(x *Exec) error) (*Report, error) {
 	if e.Backend != nil && e.Readers != nil {
 		pool.SetPrefetchRunner(e.Readers.Run)
 	}
-	if e.Kernels {
-		pool.SetOnLoad(func(pg *disk.Page) { PrepareFlat(pg.Payload) })
-	}
+	// Warm each page's flat kernel block as the pool loads it, so the
+	// joiners find it prebuilt on the coordinator instead of building it
+	// lazily inside worker tasks.
+	pool.SetOnLoad(func(pg *disk.Page) { PrepareFlat(pg.Payload) })
 	if e.Shared != nil {
 		pool.AttachShared(e.Shared)
 		// Detach on every exit path (cancellation included) so this run's
@@ -385,16 +373,17 @@ func (e *Engine) Clustered(r, s *Dataset, m *predmat.Matrix, clusters []*cluster
 			order = sched.IdentityOrder(len(clusters))
 		}
 
-		// Resolve batched dispatch once per run: the joiner must opt in with
-		// a batch kernel, and the engine flag must be on. Everything else
-		// (self joins, string joins, kernels off) falls back per pair.
+		// Resolve batched dispatch once per run: each batchable cluster's
+		// marked page pairs go through one whole-cluster block evaluation
+		// (Exec.JoinCluster) when the joiner opts in with a batch kernel.
+		// Everything else (self joins, string joins) runs a JoinPair per
+		// entry. The Report, pair order included, is identical either way
+		// at any parallelism (see TestBatchMatchesPerPair).
 		var bj BatchJoiner
 		var bth kernel.Threshold
-		if e.KernelBatch {
-			if cand, ok := j.(BatchJoiner); ok {
-				if th, batchable := cand.BatchKernel(); batchable {
-					bj, bth = cand, th
-				}
+		if cand, ok := j.(BatchJoiner); ok {
+			if th, batchable := cand.BatchKernel(); batchable {
+				bj, bth = cand, th
 			}
 		}
 

@@ -144,7 +144,7 @@ func (t *blockTask) run() {
 
 func (t *blockTask) merge(x *Exec) {
 	// Fold counters per cell in submission order: the same expressions a
-	// pairTask per cell would produce (VectorJoiner/SeriesJoiner kernels
+	// pairTask per cell would produce (VectorJoiner/SeriesJoiner non-self
 	// path: comps = nR*nS, cpu = comps*perPair), added to the report in the
 	// same sequence, so the float accumulation is bit-identical to the
 	// per-pair path. Empty pages contribute exactly +0.0 either way.

@@ -21,10 +21,10 @@ type ObjectJoiner interface {
 }
 
 // BatchJoiner is an ObjectJoiner whose per-pair kernel path can be hoisted
-// to whole-cluster block evaluation (Exec.JoinCluster). The contract mirrors
-// the Kernels flag: batch evaluation of a cluster's marked page pairs yields
-// results, comparison counts and modeled CPU cost bit-identical to a
-// JoinPages loop over the same pairs in the same order.
+// to whole-cluster block evaluation (Exec.JoinCluster). The contract: batch
+// evaluation of a cluster's marked page pairs yields results, comparison
+// counts and modeled CPU cost bit-identical to a JoinPages loop over the
+// same pairs in the same order.
 type BatchJoiner interface {
 	ObjectJoiner
 	// BatchKernel reports whether this joiner configuration is batchable
@@ -91,16 +91,24 @@ func PrepareFlat(payload any) {
 var hitsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
 
 // VectorJoiner joins vector pages under an Lp norm with threshold Eps.
+// Comparisons run through internal/kernel's exact threshold tests, so
+// results, comparison counts and modeled CPU cost match the reference
+// comparison loops bit for bit (TestJoinPagesMatchesReference).
 type VectorJoiner struct {
 	Norm geom.Norm
 	Eps  float64
 	// Self skips pairs with idA >= idB (self joins count each pair once).
 	Self bool
-	// Kernels routes comparisons through internal/kernel's threshold-aware
-	// batch path. Results, comparison counts and modeled CPU cost are
-	// bit-identical either way; off keeps the reference loops for
-	// differential testing.
-	Kernels bool
+}
+
+// threshold returns the exact kernel threshold of the join: L2 compares the
+// squared distance against fl(eps²), the other norms compare Dist against
+// eps.
+func (j VectorJoiner) threshold() kernel.Threshold {
+	if j.Norm == geom.L2 {
+		return kernel.NewThresholdSq(j.Eps)
+	}
+	return kernel.NewThreshold(j.Norm, j.Eps)
 }
 
 // JoinPages implements ObjectJoiner.
@@ -110,103 +118,52 @@ func (j VectorJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 		panic(fmt.Sprintf("join: VectorJoiner got %T", a))
 	}
 	pb := b.(*VectorPage)
-	var comps int64
 	dim := 0
 	if len(pa.Vecs) > 0 {
 		dim = len(pa.Vecs[0])
 	}
-	if j.Kernels {
-		// The historical L2 loop compares against fl(eps²); the other norms
-		// compare Dist against eps. Each gets the matching exact threshold.
-		var th kernel.Threshold
-		if j.Norm == geom.L2 {
-			th = kernel.NewThresholdSq(j.Eps)
-		} else {
-			th = kernel.NewThreshold(j.Norm, j.Eps)
-		}
-		if j.Self {
-			// The id-based skip depends on both pages' IDs, so self joins
-			// stay per-point; Within is op-for-op the reference loop.
-			for i, va := range pa.Vecs {
-				idI := pa.IDs[i]
-				for k, vb := range pb.Vecs {
-					if idI >= pb.IDs[k] {
-						continue
-					}
-					comps++
-					if th.Within(va, vb) {
-						emit(idI, pb.IDs[k])
-					}
-				}
-			}
-		} else {
-			comps = int64(len(pa.Vecs)) * int64(len(pb.Vecs))
-			fb := pb.Flat()
-			hits := hitsPool.Get().(*[]int)
-			for i, va := range pa.Vecs {
-				*hits = kernel.PagePairWithin(&th, va, fb, (*hits)[:0])
-				idI := pa.IDs[i]
-				for _, k := range *hits {
-					emit(idI, pb.IDs[k])
-				}
-			}
-			hitsPool.Put(hits)
-		}
-		perPair := compareBaseCost + comparePerDimCost*float64(dim)
-		return comps, float64(comps) * perPair
-	}
-	if j.Norm == geom.L2 {
-		// Early-exit squared L2 (wall-clock only; the modeled cost below
-		// charges the full comparison either way).
-		epsSq := j.Eps * j.Eps
+	th := j.threshold()
+	var comps int64
+	if j.Self {
+		// The id-based skip depends on both pages' IDs, so self joins stay
+		// per-point.
 		for i, va := range pa.Vecs {
 			idI := pa.IDs[i]
 			for k, vb := range pb.Vecs {
-				if j.Self && idI >= pb.IDs[k] {
+				if idI >= pb.IDs[k] {
 					continue
 				}
 				comps++
-				var s float64
-				for d := range va {
-					x := va[d] - vb[d]
-					s += x * x
-					if s > epsSq {
-						break
-					}
-				}
-				if s <= epsSq {
+				if th.Within(va, vb) {
 					emit(idI, pb.IDs[k])
 				}
 			}
 		}
 	} else {
+		comps = int64(len(pa.Vecs)) * int64(len(pb.Vecs))
+		fb := pb.Flat()
+		hits := hitsPool.Get().(*[]int)
 		for i, va := range pa.Vecs {
-			for k, vb := range pb.Vecs {
-				if j.Self && pa.IDs[i] >= pb.IDs[k] {
-					continue
-				}
-				comps++
-				if j.Norm.Dist(va, vb) <= j.Eps {
-					emit(pa.IDs[i], pb.IDs[k])
-				}
+			*hits = kernel.PagePairWithin(&th, va, fb, (*hits)[:0])
+			idI := pa.IDs[i]
+			for _, k := range *hits {
+				emit(idI, pb.IDs[k])
 			}
 		}
+		hitsPool.Put(hits)
 	}
 	perPair := compareBaseCost + comparePerDimCost*float64(dim)
 	return comps, float64(comps) * perPair
 }
 
-// BatchKernel implements BatchJoiner: non-self kernel joins are batchable,
-// with the same threshold selection as the JoinPages kernels path. Self
-// joins keep the per-point loop (the id-based skip needs both pages' IDs).
+// BatchKernel implements BatchJoiner: non-self joins are batchable, with
+// the same threshold as JoinPages. Self joins keep the per-point loop (the
+// id-based skip needs both pages' IDs).
 func (j VectorJoiner) BatchKernel() (kernel.Threshold, bool) {
-	if !j.Kernels || j.Self {
+	if j.Self {
 		return kernel.Threshold{}, false
 	}
-	if j.Norm == geom.L2 {
-		return kernel.NewThresholdSq(j.Eps), true
-	}
-	return kernel.NewThreshold(j.Norm, j.Eps), true
+	return j.threshold(), true
 }
 
 // BatchPage implements BatchJoiner.
@@ -246,7 +203,8 @@ func (p *SeriesPage) Flat() *kernel.FlatPage {
 	return p.flat.Load()
 }
 
-// SeriesJoiner joins time-series windows under L2 with threshold Eps.
+// SeriesJoiner joins time-series windows under L2 with threshold Eps,
+// through the exact squared-L2 kernel threshold (see VectorJoiner).
 type SeriesJoiner struct {
 	Eps float64
 	// Self skips pairs with idA >= idB.
@@ -254,9 +212,6 @@ type SeriesJoiner struct {
 	// ExcludeOverlap skips self-join pairs whose window starts are closer
 	// than this (trivially similar overlapping windows); 0 disables.
 	ExcludeOverlap int
-	// Kernels routes comparisons through the batched threshold kernel (see
-	// VectorJoiner.Kernels). Bit-identical results either way.
-	Kernels bool
 }
 
 // JoinPages implements ObjectJoiner.
@@ -266,61 +221,22 @@ func (j SeriesJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 		panic(fmt.Sprintf("join: SeriesJoiner got %T", a))
 	}
 	pb := b.(*SeriesPage)
-	var comps int64
 	w := 0
 	if len(pa.Windows) > 0 {
 		w = len(pa.Windows[0])
 	}
-	if j.Kernels {
-		th := kernel.NewThresholdSq(j.Eps)
-		if j.Self {
-			for i, wa := range pa.Windows {
-				idI := pa.IDs[i]
-				startI := pa.Starts[i]
-				for k, wb := range pb.Windows {
-					if idI >= pb.IDs[k] {
-						continue
-					}
-					if j.ExcludeOverlap > 0 {
-						d := startI - pb.Starts[k]
-						if d < 0 {
-							d = -d
-						}
-						if d < j.ExcludeOverlap {
-							continue
-						}
-					}
-					comps++
-					if th.Within(wa, wb) {
-						emit(idI, pb.IDs[k])
-					}
-				}
-			}
-		} else {
-			comps = int64(len(pa.Windows)) * int64(len(pb.Windows))
-			fb := pb.Flat()
-			hits := hitsPool.Get().(*[]int)
-			for i, wa := range pa.Windows {
-				*hits = kernel.PagePairWithin(&th, wa, fb, (*hits)[:0])
-				idI := pa.IDs[i]
-				for _, k := range *hits {
-					emit(idI, pb.IDs[k])
-				}
-			}
-			hitsPool.Put(hits)
-		}
-		perPair := compareBaseCost + comparePerDimCost*float64(w)
-		return comps, float64(comps) * perPair
-	}
-	epsSq := j.Eps * j.Eps
-	for i, wa := range pa.Windows {
-		for k, wb := range pb.Windows {
-			if j.Self {
-				if pa.IDs[i] >= pb.IDs[k] {
+	th := kernel.NewThresholdSq(j.Eps)
+	var comps int64
+	if j.Self {
+		for i, wa := range pa.Windows {
+			idI := pa.IDs[i]
+			startI := pa.Starts[i]
+			for k, wb := range pb.Windows {
+				if idI >= pb.IDs[k] {
 					continue
 				}
 				if j.ExcludeOverlap > 0 {
-					d := pa.Starts[i] - pb.Starts[k]
+					d := startI - pb.Starts[k]
 					if d < 0 {
 						d = -d
 					}
@@ -328,32 +244,34 @@ func (j SeriesJoiner) JoinPages(a, b any, emit func(int, int)) (int64, float64) 
 						continue
 					}
 				}
-			}
-			comps++
-			// Early-exit squared L2: affects wall time only, not the
-			// modeled cost.
-			var s float64
-			for x := range wa {
-				d := wa[x] - wb[x]
-				s += d * d
-				if s > epsSq {
-					break
+				comps++
+				if th.Within(wa, wb) {
+					emit(idI, pb.IDs[k])
 				}
 			}
-			if s <= epsSq {
-				emit(pa.IDs[i], pb.IDs[k])
+		}
+	} else {
+		comps = int64(len(pa.Windows)) * int64(len(pb.Windows))
+		fb := pb.Flat()
+		hits := hitsPool.Get().(*[]int)
+		for i, wa := range pa.Windows {
+			*hits = kernel.PagePairWithin(&th, wa, fb, (*hits)[:0])
+			idI := pa.IDs[i]
+			for _, k := range *hits {
+				emit(idI, pb.IDs[k])
 			}
 		}
+		hitsPool.Put(hits)
 	}
 	perPair := compareBaseCost + comparePerDimCost*float64(w)
 	return comps, float64(comps) * perPair
 }
 
-// BatchKernel implements BatchJoiner: non-self kernel joins are batchable
-// under the squared-L2 threshold. Self joins (id and overlap skips) keep the
-// per-point loop.
+// BatchKernel implements BatchJoiner: non-self joins are batchable under the
+// squared-L2 threshold. Self joins (id and overlap skips) keep the per-point
+// loop.
 func (j SeriesJoiner) BatchKernel() (kernel.Threshold, bool) {
-	if !j.Kernels || j.Self {
+	if j.Self {
 		return kernel.Threshold{}, false
 	}
 	return kernel.NewThresholdSq(j.Eps), true

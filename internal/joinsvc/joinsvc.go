@@ -31,6 +31,16 @@ import (
 	"pmjoin/internal/metrics"
 )
 
+// Request limits. Both fail closed: an oversized body is rejected with 413
+// before it is decoded, and an /open whose n × dim exceeds maxOpenValues is
+// rejected with 400 before any data is generated. maxOpenValues (4Mi
+// float64s, 32 MiB) sits far above the largest datasets the benchmark and
+// the load harness open (4000 × 60 values).
+const (
+	maxBodyBytes  = 1 << 20
+	maxOpenValues = 1 << 22
+)
+
 // Service routes HTTP requests to a pmjoin.Server and owns the name→dataset
 // registry.
 type Service struct {
@@ -133,6 +143,14 @@ func (s *Service) handleOpen(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("joinsvc: open needs a name and n > 0"))
 		return
 	}
+	if req.Dim < 0 {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("joinsvc: negative dim %d", req.Dim))
+		return
+	}
+	if dim := max(req.Dim, 1); req.N > maxOpenValues/dim {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("joinsvc: open of n=%d × dim=%d exceeds %d values", req.N, dim, maxOpenValues))
+		return
+	}
 	sys := s.srv.System()
 	var d *pmjoin.Dataset
 	var err error
@@ -201,10 +219,7 @@ type JoinOptions struct {
 	ShardWorkers int           `json:"shardWorkers,omitempty"`
 	// PrefetchOff disables the pipelined executor (on by default).
 	PrefetchOff bool `json:"prefetchOff,omitempty"`
-	// KernelBatchOff disables whole-cluster block kernel dispatch (on by
-	// default; results are identical either way).
-	KernelBatchOff bool `json:"kernelBatchOff,omitempty"`
-	Trace          bool `json:"trace,omitempty"`
+	Trace       bool `json:"trace,omitempty"`
 }
 
 func (o JoinOptions) options() pmjoin.Options {
@@ -222,9 +237,6 @@ func (o JoinOptions) options() pmjoin.Options {
 	}
 	if o.PrefetchOff {
 		opt.Pipeline.Prefetch = pmjoin.PrefetchOff
-	}
-	if o.KernelBatchOff {
-		opt.KernelBatch = pmjoin.KernelBatchOff
 	}
 	return opt
 }
@@ -402,10 +414,15 @@ func (s *Service) decode(w http.ResponseWriter, r *http.Request, into any) bool 
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("joinsvc: %s requires POST", r.URL.Path))
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("joinsvc: bad request body: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, code, fmt.Errorf("joinsvc: bad request body: %w", err))
 		return false
 	}
 	return true

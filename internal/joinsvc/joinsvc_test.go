@@ -162,6 +162,26 @@ func TestErrorStatuses(t *testing.T) {
 			h.ServeHTTP(w, req)
 			return w
 		}, http.StatusBadRequest},
+		{"removed kernelBatchOff option", func() *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, "/join",
+				strings.NewReader(`{"left":"a","right":"a","options":{"method":"SC","epsilon":0.1,"bufferPages":8,"kernelBatchOff":true}}`))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			return w
+		}, http.StatusBadRequest},
+		{"oversized body", func() *httptest.ResponseRecorder {
+			body := `{"name":"` + strings.Repeat("x", maxBodyBytes) + `","kind":"vector","n":50}`
+			req := httptest.NewRequest(http.MethodPost, "/open", strings.NewReader(body))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			return w
+		}, http.StatusRequestEntityTooLarge},
+		{"oversized open", func() *httptest.ResponseRecorder {
+			return post(t, h, "/open", OpenRequest{Name: "huge", Kind: pmjoin.KindVector, N: maxOpenValues/60 + 1, Dim: 60})
+		}, http.StatusBadRequest},
+		{"negative dim", func() *httptest.ResponseRecorder {
+			return post(t, h, "/open", OpenRequest{Name: "neg", Kind: pmjoin.KindVector, N: 50, Dim: -4})
+		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		w := tc.do()

@@ -103,7 +103,7 @@ var cellHitsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return 
 // Hits are emitted grouped by cell in cells order, and within one cell by
 // (I ascending, J ascending) — exactly the order a per-pair loop over
 // PagePairWithin produces, which is what keeps the executor's Report and
-// pair stream bit-identical batch on vs. off. The hit decisions themselves
+// pair stream bit-identical batched or per pair. The hit decisions themselves
 // are identical to PagePairWithin's for every input: the vector path
 // re-associates sums differently (four probes per pass, streamed across
 // page boundaries), but any sum inside the reassocBand sliver is re-decided

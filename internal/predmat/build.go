@@ -38,10 +38,10 @@ func (p NormPredictor) LowerBound(a, b geom.MBR) float64 {
 }
 
 // KernelBound returns an allocation-free, early-abandoning test equivalent
-// to LowerBound(a, b) <= eps — bit-identical for every input, which is what
-// keeps matrices (and therefore Plan) independent of BuildOptions.Kernels.
-// It returns nil when no exact kernel exists (non-positive or NaN Scale);
-// callers then keep the reference comparison.
+// to LowerBound(a, b) <= eps — bit-identical for every input, so matrices
+// (and therefore Plan) match the LowerBound definition exactly. It returns
+// nil when no exact kernel exists (non-positive or NaN Scale); callers then
+// fall back to LowerBound.
 func (p NormPredictor) KernelBound(eps float64) func(a, b geom.MBR) bool {
 	s := p.Scale
 	if s == 0 {
@@ -54,12 +54,23 @@ func (p NormPredictor) KernelBound(eps float64) func(a, b geom.MBR) bool {
 	return b.Within
 }
 
-// kernelBounder is the optional Predictor refinement Build probes for when
-// BuildOptions.Kernels is set. mrsindex's integer frequency predictor does
-// not implement it — its bound is already allocation-light — so only the
-// norm-based predictors take the kernel path.
+// kernelBounder is the optional Predictor refinement Build probes for.
+// mrsindex's integer frequency predictor does not implement it — its bound
+// is already allocation-light — so only the norm-based predictors take the
+// kernel path.
 type kernelBounder interface {
 	KernelBound(eps float64) func(a, b geom.MBR) bool
+}
+
+// Within returns the test pred.LowerBound(a, b) <= eps, through the
+// predictor's exact kernel bound when it offers one.
+func Within(pred Predictor, eps float64) func(a, b geom.MBR) bool {
+	if kb, ok := pred.(kernelBounder); ok {
+		if f := kb.KernelBound(eps); f != nil {
+			return f
+		}
+	}
+	return func(a, b geom.MBR) bool { return pred.LowerBound(a, b) <= eps }
 }
 
 // DefaultFilterDepth is the paper's default bound k on the number of filter
@@ -85,11 +96,6 @@ type BuildOptions struct {
 	// are idempotent set insertions and every counter is an
 	// order-independent integer sum.
 	Runner Runner
-	// Kernels routes leaf-pair predictor tests through internal/kernel's
-	// exact MBR bound when the predictor offers one. The resulting matrix is
-	// bit-identical either way; off keeps the reference path for
-	// differential testing.
-	Kernels bool
 }
 
 // BuildStats counts work done during construction.
@@ -121,14 +127,7 @@ func Build(r, s *index.Node, rPages, sPages int, eps float64, pred Predictor, op
 	}
 	m := NewMatrix(rPages, sPages)
 	b := &builder{eps: eps, pred: pred, opts: opts, m: m}
-	b.within = func(a, c geom.MBR) bool { return pred.LowerBound(a, c) <= eps }
-	if opts.Kernels {
-		if kb, ok := pred.(kernelBounder); ok {
-			if f := kb.KernelBound(eps); f != nil {
-				b.within = f
-			}
-		}
-	}
+	b.within = Within(pred, eps)
 	b.sweep([]*index.Node{r}, []*index.Node{s})
 	b.wg.Wait()
 	if opts.Stats != nil {
@@ -147,9 +146,7 @@ type builder struct {
 	pred Predictor
 	opts BuildOptions
 	m    *Matrix
-	// within decides pred.LowerBound(a, b) <= eps — through the kernel
-	// bound when enabled, which is exact, so the matrix never depends on
-	// which path ran.
+	// within decides pred.LowerBound(a, b) <= eps (see Within).
 	within func(a, b geom.MBR) bool
 
 	// markMu guards m: concurrent sub-sweeps may mark the same entry, and

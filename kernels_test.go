@@ -5,14 +5,19 @@ import (
 	"testing"
 
 	"pmjoin/internal/dataset"
+	"pmjoin/internal/disk"
+	"pmjoin/internal/geom"
+	"pmjoin/internal/join"
+	"pmjoin/internal/seqdist"
 )
 
-// TestKernelsDeterminism is the kernel half of the determinism contract: for
-// every data kind and method, a join with Kernels on produces a Result
-// (Report, Pairs, matrix stats) and a Plan bit-for-bit identical to the run
-// with Kernels off, at Parallelism 1 and at GOMAXPROCS. Each mode runs on a
-// fresh System over identical generated data, so the prediction-matrix cache
-// of one mode can never mask a divergence in the other.
+// TestKernelsDeterminism pins the kernel comparison path end to end: for
+// every data kind and method, the pairs a join collects are exactly the
+// brute-force reference set (see referencePairs), which no kernel, index or
+// matrix computes. The matrix build, the BFRJ node test, the EGO adapters
+// and the joiners all run their kernel tests here; the joiner-level
+// bit-for-bit contract (pairs, comparisons, modeled CPU) is
+// internal/join's TestJoinPagesMatchesReference.
 func TestKernelsDeterminism(t *testing.T) {
 	type workload struct {
 		name    string
@@ -94,8 +99,8 @@ func TestKernelsDeterminism(t *testing.T) {
 			opt: Options{Epsilon: 8.0, BufferPages: 16, CollectPairs: true},
 		},
 		{
-			// Strings have no float kernel, but the mode must still be a
-			// no-op end to end (engine hook, matrix build, BFRJ predicate).
+			// Strings have no float kernel; they pin the fallback seams
+			// (engine load hook, matrix build, BFRJ predicate).
 			name:    "string",
 			methods: []Method{PMNLJ, SC, BFRJ},
 			build: func(t *testing.T) (*System, *Dataset, *Dataset) {
@@ -120,89 +125,121 @@ func TestKernelsDeterminism(t *testing.T) {
 	for _, w := range loads {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
+			sys, a, b := w.build(t)
+			want := referencePairs(t, a, b, w.opt.Epsilon)
+			if len(want) == 0 {
+				t.Fatal("workload has no results; the comparison is vacuous")
+			}
 			for _, m := range w.methods {
 				m := m
 				t.Run(m.String(), func(t *testing.T) {
-					run := func(mode KernelMode, par int) (*Result, *Plan) {
-						sys, a, b := w.build(t)
-						opt := w.opt
-						opt.Method = m
-						opt.Kernels = mode
-						opt.Parallelism = par
-						res, err := sys.Join(a, b, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						plan, err := sys.Explain(a, b, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res, plan
+					opt := w.opt
+					opt.Method = m
+					res, err := sys.Join(a, b, opt)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, par := range []int{1, 0} { // 0 = GOMAXPROCS
-						off, offPlan := run(KernelsOff, par)
-						on, onPlan := run(KernelsOn, par)
-						if got, want := deterministicFields(on), deterministicFields(off); !reflect.DeepEqual(got, want) {
-							t.Errorf("parallelism %d: kernels-on result differs:\n off: %+v\n on:  %+v", par, want, got)
-						}
-						if !reflect.DeepEqual(onPlan, offPlan) {
-							t.Errorf("parallelism %d: kernels-on plan differs:\n off: %+v\n on:  %+v", par, offPlan, onPlan)
-						}
-						if par == 1 && off.Count() == 0 {
-							t.Error("workload has no results; the comparison is vacuous")
-						}
-					}
+					checkPairs(t, res, want)
 				})
 			}
 		})
 	}
 }
 
-// TestKernelModeDefault pins the normalization: the zero value resolves to
-// KernelsOn, and an explicit off stays off.
-func TestKernelModeDefault(t *testing.T) {
-	opt := Options{Method: NLJ, Epsilon: 1, BufferPages: 4}
-	if err := opt.Validate(); err != nil {
-		t.Fatal(err)
+// checkPairs asserts that a join collected exactly the oracle's pair set:
+// no truncation, a result count equal to the set size, and the same pairs
+// once sorted (so a duplicate emission fails too).
+func checkPairs(t *testing.T, res *Result, want [][2]int) {
+	t.Helper()
+	if res.Truncated {
+		t.Fatalf("pairs truncated at %d; raise MaxPairs", len(res.Pairs))
 	}
-	if opt.Kernels != KernelsOn {
-		t.Errorf("default kernels = %v, want on", opt.Kernels)
+	if res.Report.Results != int64(len(want)) {
+		t.Errorf("Results = %d, oracle has %d pairs", res.Report.Results, len(want))
 	}
-	opt = Options{Method: NLJ, Epsilon: 1, BufferPages: 4, Kernels: KernelsOff}
-	if err := opt.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if opt.Kernels != KernelsOff {
-		t.Errorf("explicit off became %v", opt.Kernels)
-	}
-	bad := Options{Method: NLJ, Epsilon: 1, BufferPages: 4, Kernels: KernelMode(99)}
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted kernel mode 99")
+	got := append([][2]int(nil), res.Pairs...)
+	sortPairs(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("pair set differs from the oracle (%d vs %d pairs)", len(got), len(want))
 	}
 }
 
-// TestKernelModeText pins the text round-trip alongside the other enums.
-func TestKernelModeText(t *testing.T) {
-	for _, k := range []KernelMode{KernelsDefault, KernelsOn, KernelsOff} {
-		text, err := k.MarshalText()
-		if err != nil {
-			t.Fatal(err)
+// referencePairs is a brute-force oracle: every object pair of a × b that
+// the reference predicate accepts, sorted, with the objects read straight
+// off the datasets' disk pages — no index, prediction matrix, buffer pool or
+// kernel takes part. A self join (a == b) keeps idA < idB, and sequence self
+// joins skip window pairs whose starts are closer than the window length.
+// The predicates: vector L2 and series compare the squared L2 distance with
+// eps², other vector norms compare Dist with eps, and strings compare the
+// full (unbanded) edit distance with int(eps).
+func referencePairs(t *testing.T, a, b *Dataset, eps float64) [][2]int {
+	t.Helper()
+	type object struct {
+		id, start int
+		vec       []float64
+		str       []byte
+	}
+	objects := func(d *Dataset) []object {
+		var out []object
+		for p := 0; p < d.ds.Pages; p++ {
+			pg, err := d.sys.d.Peek(disk.PageAddr{File: d.ds.File, Page: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch pl := pg.Payload.(type) {
+			case *join.VectorPage:
+				for i, v := range pl.Vecs {
+					out = append(out, object{id: pl.IDs[i], vec: v})
+				}
+			case *join.SeriesPage:
+				for i, w := range pl.Windows {
+					out = append(out, object{id: pl.IDs[i], start: pl.Starts[i], vec: w})
+				}
+			case *join.StringPage:
+				for i, w := range pl.Windows {
+					out = append(out, object{id: pl.IDs[i], start: pl.Starts[i], str: w})
+				}
+			default:
+				t.Fatalf("unexpected page payload %T", pl)
+			}
 		}
-		var back KernelMode
-		if err := back.UnmarshalText(text); err != nil {
-			t.Fatal(err)
+		return out
+	}
+	match := func(x, y object) bool {
+		switch {
+		case a.kind == KindString:
+			return seqdist.EditDistance(x.str, y.str) <= int(eps)
+		case a.kind == KindVector && a.norm != geom.L2:
+			return a.norm.Dist(x.vec, y.vec) <= eps
+		default:
+			var s float64
+			for d := range x.vec {
+				diff := x.vec[d] - y.vec[d]
+				s += diff * diff
+			}
+			return s <= eps*eps
 		}
-		if back != k {
-			t.Errorf("round trip %v -> %q -> %v", k, text, back)
+	}
+	self := a == b
+	left, right := objects(a), objects(b)
+	var pairs [][2]int
+	for _, x := range left {
+		for _, y := range right {
+			if self {
+				if x.id >= y.id {
+					continue
+				}
+				if a.kind != KindVector {
+					if d := x.start - y.start; d < a.window && -d < a.window {
+						continue
+					}
+				}
+			}
+			if match(x, y) {
+				pairs = append(pairs, [2]int{x.id, y.id})
+			}
 		}
 	}
-	if _, err := ParseKernelMode("sometimes"); err == nil {
-		t.Error("ParseKernelMode accepted garbage")
-	}
-	if k, err := ParseKernelMode("ON"); err != nil || k != KernelsOn {
-		t.Errorf("ParseKernelMode(ON) = %v, %v", k, err)
-	}
-	if _, err := KernelMode(42).MarshalText(); err == nil {
-		t.Error("MarshalText accepted out-of-range mode")
-	}
+	sortPairs(pairs)
+	return pairs
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // TestRandomizedVectorAgreement fuzzes workload shape, dimensionality,
-// epsilon, buffer size and page size, asserting that every method finds the
-// same number of pairs as NLJ.
+// epsilon, buffer size and page size, asserting that every method — and
+// every clustered method again at two shards — collects exactly the pair
+// set a brute-force scan of the raw input finds.
 func TestRandomizedVectorAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized agreement sweep")
@@ -24,13 +25,15 @@ func TestRandomizedVectorAgreement(t *testing.T) {
 		self := rng.Intn(3) == 0
 
 		sys := NewSystem(DiskModel{PageBytes: pageBytes})
-		da, err := sys.AddVectors("a", randomVecs(nA, dim, int64(iter)), VectorOptions{})
+		va := randomVecs(nA, dim, int64(iter))
+		da, err := sys.AddVectors("a", va, VectorOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := da
+		db, vb := da, va
 		if !self {
-			db, err = sys.AddVectors("b", randomVecs(nB, dim, int64(iter)+1000), VectorOptions{})
+			vb = randomVecs(nB, dim, int64(iter)+1000)
+			db, err = sys.AddVectors("b", vb, VectorOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,19 +42,26 @@ func TestRandomizedVectorAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want int64 = -1
+		want := bruteVecPairs(va, vb, eps, self)
 		for _, m := range vectorMethods {
-			res, err := sys.Join(da, db, Options{Method: m, Epsilon: eps, BufferPages: buffer, Seed: int64(iter)})
-			if err != nil {
-				t.Fatalf("iter %d (%v, dim=%d, B=%d, self=%v): %v", iter, m, dim, buffer, self, err)
+			shardCounts := []int{0}
+			switch m {
+			case RandomSC, SC, CC:
+				shardCounts = append(shardCounts, 2)
 			}
-			if want < 0 {
-				want = res.Count()
-				continue
-			}
-			if res.Count() != want {
-				t.Fatalf("iter %d (dim=%d eps=%g B=%d self=%v): %v found %d, NLJ found %d",
-					iter, dim, eps, buffer, self, m, res.Count(), want)
+			for _, shards := range shardCounts {
+				res, err := sys.Join(da, db, Options{
+					Method: m, Epsilon: eps, BufferPages: buffer, Seed: int64(iter),
+					CollectPairs: true, MaxPairs: len(want) + 1, Sharding: ShardingOptions{Shards: shards},
+				})
+				if err != nil {
+					t.Fatalf("iter %d (%v, dim=%d, B=%d, self=%v, shards=%d): %v", iter, m, dim, buffer, self, shards, err)
+				}
+				checkPairs(t, res, want)
+				if t.Failed() {
+					t.Fatalf("iter %d (dim=%d eps=%g B=%d self=%v): %v at %d shards disagrees with brute force",
+						iter, dim, eps, buffer, self, m, shards)
+				}
 			}
 		}
 	}

@@ -32,16 +32,18 @@ echo "==> pmlint ./..."
 # so a slow or noisy lint gate is visible right here in the verify log.
 go run ./cmd/pmlint -stats ./...
 
-echo "==> determinism contracts (metrics observer + sharded execution + batch kernels + storage backends)"
+echo "==> determinism contracts (metrics observer + sharded execution + storage backends + kernel oracles)"
 # Run the dedicated contract tests on their own first: a bit-identical
 # Report / Pairs / Plan with collection enabled is the invariant that keeps
 # the metrics layer an observer rather than a participant, the same triple
 # must be identical across shard worker counts and vs the unsharded executor
-# at shards=1, cluster-batched kernel dispatch must reproduce the per-pair
-# triple at any parallelism/sharding/prefetch combination, and the
-# file-backed store (real encoded files, background prefetch readers) must
-# reproduce the simulator's triple bit for bit.
-go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestBatchKernelsDeterminism|TestBackendParity' .
+# at shards=1, and the file-backed store (real encoded files, background
+# prefetch readers) must reproduce the simulator's triple bit for bit. In
+# internal/join, cluster-batched kernel dispatch must reproduce the per-pair
+# Report and pair order at any worker count with prefetch on or off, and
+# every joiner must match its reference comparison loop bit for bit.
+go test -race -run 'TestMetricsDeterminism|TestShardDeterminism|TestBackendParity' .
+go test -race -run 'TestBatchMatchesPerPair|TestJoinPagesMatchesReference' ./internal/join
 
 echo "==> go test -race ${SHORT_FLAG} ./..."
 # Race instrumentation slows the experiment replications several-fold;

@@ -30,10 +30,11 @@ func randomVecs(n, dim int, seed int64) [][]float64 {
 	return out
 }
 
-// bruteVecCount counts pairs within eps under L2, with self semantics when
-// self is true.
-func bruteVecCount(a, b [][]float64, eps float64, self bool) int64 {
-	var count int64
+// bruteVecPairs returns the pairs (i, j) of input indices within eps under
+// L2, in ascending order, keeping only i < j when self is true. It reads
+// the raw input only: no pages, buffers or kernels take part.
+func bruteVecPairs(a, b [][]float64, eps float64, self bool) [][2]int {
+	var pairs [][2]int
 	for i, va := range a {
 		for j, vb := range b {
 			if self && i >= j {
@@ -45,11 +46,11 @@ func bruteVecCount(a, b [][]float64, eps float64, self bool) int64 {
 				s += x * x
 			}
 			if s <= eps*eps {
-				count++
+				pairs = append(pairs, [2]int{i, j})
 			}
 		}
 	}
-	return count
+	return pairs
 }
 
 func sortPairs(ps [][2]int) {
@@ -76,7 +77,7 @@ func TestVectorJoinAllMethodsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := bruteVecCount(va, vb, eps, false)
+	want := int64(len(bruteVecPairs(va, vb, eps, false)))
 	if want == 0 {
 		t.Fatal("test workload has no result pairs")
 	}
@@ -115,7 +116,7 @@ func TestVectorSelfJoinAllMethodsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bruteVecCount(va, va, eps, true)
+	want := int64(len(bruteVecPairs(va, va, eps, true)))
 	if want == 0 {
 		t.Fatal("test workload has no result pairs")
 	}
